@@ -77,6 +77,6 @@ pub use governor::GovernorOutcome;
 pub use protocol::Command;
 pub use registry::{
     BackendSpec, RegistryConfig, RegistryError, RegistryStats, SketchRegistry, TenantId,
-    TenantReport, TenantSketch,
+    TenantReport, TenantSketch, MAX_MASS,
 };
 pub use server::SketchServer;

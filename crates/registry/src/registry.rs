@@ -279,6 +279,12 @@ impl SketchBackend for TenantSketch {
     }
 }
 
+/// The most count mass a registry admits over its lifetime. Every tenant
+/// counter is bounded by the mass admitted, and `CountSketch` counters are
+/// `i64`, so holding the total to `i64::MAX` keeps every counter and
+/// ledger exact.
+pub const MAX_MASS: u64 = i64::MAX as u64;
+
 /// Errors surfaced by the fallible [`SketchRegistry`] operations. Engine
 /// failures (overload, poisoned shards, zero-weight updates) pass through
 /// as typed [`EngineError`]s rather than being flattened into strings.
@@ -303,6 +309,14 @@ pub enum RegistryError {
         /// What was wrong with it.
         reason: &'static str,
     },
+    /// Admitting the weight would take the registry's total mass past
+    /// [`MAX_MASS`]; nothing was ingested.
+    MassOverflow {
+        /// The mass admitted so far.
+        ingested: u64,
+        /// The rejected weight.
+        weight: u64,
+    },
     /// A tenant's underlying ingest engine reported a typed failure.
     Engine(EngineError),
 }
@@ -317,6 +331,10 @@ impl fmt::Display for RegistryError {
             RegistryError::InvalidSpec { spec, reason } => {
                 write!(f, "invalid backend spec '{spec}': {reason}")
             }
+            RegistryError::MassOverflow { ingested, weight } => write!(
+                f,
+                "weight {weight} would take the ingested mass {ingested} past {MAX_MASS}"
+            ),
             RegistryError::Engine(err) => write!(f, "engine error: {err}"),
         }
     }
@@ -824,6 +842,8 @@ impl SketchRegistry {
     ///   evicted by the governor; check [`RegistryStats::evictions`]).
     /// * [`RegistryError::Engine`] wrapping [`EngineError::ZeroWeight`] —
     ///   `count == 0` (counted, mirroring the engine's API boundary).
+    /// * [`RegistryError::MassOverflow`] — the total admitted mass would
+    ///   exceed [`MAX_MASS`].
     /// * [`RegistryError::Engine`] — a sharded tenant's engine failed.
     pub fn ingest_weighted(
         &mut self,
@@ -834,6 +854,14 @@ impl SketchRegistry {
         if count == 0 {
             self.counters.zero_weight_rejections += 1;
             return Err(EngineError::ZeroWeight { id: element.id }.into());
+        }
+        // `ingested <= MAX_MASS` always holds: this check is the only way in.
+        let ingested = self.counters.ingested_mass;
+        if count > MAX_MASS - ingested {
+            return Err(RegistryError::MassOverflow {
+                ingested,
+                weight: count,
+            });
         }
         self.clock += 1;
         let clock = self.clock;
@@ -1037,6 +1065,43 @@ mod tests {
             RegistryError::Engine(EngineError::ZeroWeight { id: ElementId(1) })
         );
         assert_eq!(registry.stats().zero_weight_rejections, 1);
+    }
+
+    #[test]
+    fn weight_past_the_mass_limit_is_rejected_untouched() {
+        let mut registry = SketchRegistry::unbounded();
+        registry
+            .create(
+                "x",
+                BackendSpec::CountSketch {
+                    width: 64,
+                    depth: 2,
+                },
+            )
+            .unwrap();
+        registry.ingest_weighted("x", &element(1), 5).unwrap();
+        for weight in [u64::MAX, MAX_MASS - 4] {
+            let err = registry
+                .ingest_weighted("x", &element(1), weight)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                RegistryError::MassOverflow {
+                    ingested: 5,
+                    weight
+                }
+            );
+        }
+        let stats = registry.stats();
+        assert_eq!(stats.ingested_mass, 5);
+        assert_eq!(stats.unaccounted_mass(), 0);
+        assert_eq!(registry.query("x", &element(1)).unwrap(), 5.0);
+        // Exactly up to the limit is admitted.
+        registry
+            .ingest_weighted("x", &element(2), MAX_MASS - 5)
+            .unwrap();
+        assert_eq!(registry.stats().ingested_mass, MAX_MASS);
+        assert_eq!(registry.stats().unaccounted_mass(), 0);
     }
 
     #[test]

@@ -1,10 +1,27 @@
 //! A std-only TCP front end for a shared [`SketchRegistry`].
 //!
 //! [`SketchServer`] binds a listener, accepts connections on a background
-//! thread, and answers the line protocol of [`crate::protocol`] — one
-//! request line, one `OK`/`ERR` response line. The registry lives behind a
-//! mutex shared with the embedding process, so a program can serve remote
-//! clients while ingesting locally through [`SketchServer::registry`].
+//! thread, and answers the line protocol of [`crate::protocol`]: every
+//! request line gets one `OK`/`ERR` response line, in order. The registry
+//! lives behind a mutex shared with the embedding process, so a program can
+//! serve remote clients while ingesting locally through
+//! [`SketchServer::registry`].
+//!
+//! Replies are coalesced per read burst. A connection handler takes every
+//! complete line that one socket read delivered, parses them, executes them
+//! under a single acquisition of the registry lock, renders their replies
+//! (each with its `\n`) into one per-connection buffer, and sends that
+//! buffer with one write before it reads again. A pipelining client thus
+//! costs one lock acquisition and one write per burst instead of per
+//! command, and a trailing partial line never holds back the replies
+//! already rendered. The lock is released before the write, so it is never
+//! held across socket I/O: a slow client stalls only its own connection.
+//!
+//! Accepted sockets set `TCP_NODELAY`. With Nagle's algorithm on, a reply
+//! written in pieces sat in the kernel until the client's delayed ACK for
+//! the first piece arrived: an interactive round trip took ~44 ms instead
+//! of ~0.12 ms on loopback. Each burst's replies already leave in one write,
+//! so there is nothing for Nagle to batch.
 //!
 //! Shutdown is cooperative and clean: the accept loop polls a flag between
 //! non-blocking accepts, connection handlers poll it between read timeouts,
@@ -142,26 +159,31 @@ fn accept_loop(
     handlers
 }
 
-/// Serves one client: read a line, execute, write a line, until QUIT, EOF,
-/// or server shutdown.
+/// Serves one client, one read burst at a time, until QUIT, EOF, or server
+/// shutdown: the complete lines of a burst are parsed, executed under one
+/// registry lock, and answered with one write.
 fn handle_connection(
     stream: TcpStream,
     registry: Arc<Mutex<SketchRegistry>>,
     stop: Arc<AtomicBool>,
 ) {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(_) => return,
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The line being assembled. It is cleared only once handled, so the
+    // prefix of a line split across a read timeout is kept.
+    let mut line = Vec::new();
+    let mut burst: Vec<Result<Command, String>> = Vec::new();
+    let mut replies = String::new();
     while !stop.load(Ordering::SeqCst) {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed the connection
+        // The only read that may block: it waits (up to `READ_POLL`) for
+        // the first line of the next burst.
+        match reader.read_until(b'\n', &mut line) {
+            Ok(_) if line.is_empty() => return, // client closed the connection
             Ok(_) => {}
             Err(err)
                 if err.kind() == ErrorKind::WouldBlock || err.kind() == ErrorKind::TimedOut =>
@@ -170,33 +192,54 @@ fn handle_connection(
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, quit) = match Command::parse(&line) {
-            Ok(command) => {
-                let response = {
-                    let mut registry = registry
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    command.execute(&mut registry)
-                };
-                (response, command == Command::Quit)
+        // `read_until` stops short of a newline only at end of stream.
+        let mut closing = !line.ends_with(b"\n");
+        loop {
+            if let Some(command) = parse_line(&line) {
+                closing |= matches!(command, Ok(Command::Quit));
+                burst.push(command);
             }
-            Err(reason) => (format!("ERR {reason}"), false),
-        };
-        if writer
-            .write_all(response.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+            line.clear();
+            // Later lines already buffered are read without touching the
+            // socket; a trailing partial line waits for the next burst.
+            if closing || !reader.buffer().contains(&b'\n') {
+                break;
+            }
+            if reader.read_until(b'\n', &mut line).is_err() {
+                return;
+            }
+        }
+        if !burst.is_empty() {
+            let mut registry = registry
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            for command in burst.drain(..) {
+                match command {
+                    Ok(command) => replies.push_str(&command.execute(&mut registry)),
+                    Err(reason) => {
+                        replies.push_str("ERR ");
+                        replies.push_str(&reason);
+                    }
+                }
+                replies.push('\n');
+            }
+        }
+        if !replies.is_empty() && writer.write_all(replies.as_bytes()).is_err() {
             return;
         }
-        if quit {
+        replies.clear();
+        if closing {
             return;
         }
     }
+}
+
+/// Parses one received line; `None` for a blank line, which gets no reply.
+fn parse_line(line: &[u8]) -> Option<Result<Command, String>> {
+    let Ok(text) = std::str::from_utf8(line) else {
+        return Some(Err("line is not valid UTF-8".to_owned()));
+    };
+    (!text.trim().is_empty()).then(|| Command::parse(text))
 }
 
 #[cfg(test)]
