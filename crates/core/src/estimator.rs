@@ -696,4 +696,41 @@ mod tests {
         let after = est.bucket_count(est.bucket_of(&StreamElement::new(0u64, vec![0.0, 0.1])));
         assert_eq!(before, after);
     }
+
+    /// A prefix built the way the query-log pipeline builds one: from a
+    /// [`opthash_stream::FrequencyVector`]'s iteration order.
+    fn prefix_from_frequency_vector(stream: &Stream) -> StreamPrefix {
+        let counts = opthash_stream::FrequencyVector::from_stream(stream);
+        StreamPrefix::from_counts(
+            counts
+                .iter()
+                .map(|(id, count)| {
+                    let x = (id.raw() % 17) as f64;
+                    (StreamElement::new(id, vec![x, x * x]), count)
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn one_seed_trains_one_scheme_from_frequency_vector_prefixes() {
+        let stream = Stream::from_arrivals(
+            (0..20_000u64)
+                .map(|i| StreamElement::without_features((i * i) % 1_500))
+                .collect(),
+        );
+        let train = || {
+            OptHashBuilder::new(16)
+                .lambda(0.5)
+                .max_stored_elements(200)
+                .seed(7)
+                .train(&prefix_from_frequency_vector(&stream))
+        };
+        let (a, b) = (train(), train());
+        assert_eq!(a.solution().assignment, b.solution().assignment);
+        assert_eq!(
+            a.stats().classifier_train_accuracy,
+            b.stats().classifier_train_accuracy
+        );
+    }
 }

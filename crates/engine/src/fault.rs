@@ -1,8 +1,9 @@
-//! Fault handling as a first-class subsystem: the [`FaultLog`] records every
+//! Fault handling as a first-class subsystem: the [`FaultLog`] counts every
 //! robustness event the engine survives (batch panics, quarantines, worker
-//! restarts, shard poisonings), and — behind the `failpoints` cargo feature —
-//! the [`FaultInjector`] drives *deterministic* fault injection at named
-//! points on the ingest/flush/worker paths.
+//! restarts, shard poisonings) and keeps the newest of them, and — behind
+//! the `failpoints` cargo feature — the [`FaultInjector`] drives
+//! *deterministic* fault injection at named points on the
+//! ingest/flush/worker paths.
 //!
 //! # Failpoints
 //!
@@ -38,6 +39,7 @@
 //! its own registry (shared with its workers), so concurrently running
 //! engines — and concurrently running tests — never interfere.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 #[cfg(feature = "failpoints")]
 use std::time::Duration;
@@ -360,20 +362,30 @@ pub enum FaultEvent {
     },
 }
 
-/// Append-only record of the robustness events an engine has handled.
+/// Most events a [`FaultLog`] retains; older ones are dropped, but still
+/// counted in the per-kind totals.
+pub const FAULT_LOG_CAPACITY: usize = 1024;
+
+/// Bounded record of the robustness events an engine has handled: the
+/// newest [`FAULT_LOG_CAPACITY`] events plus exact per-kind totals.
 ///
 /// Snapshot it with [`crate::IngestEngine::fault_log`]; a healthy run has
 /// an empty log, and every recovery the engine performs is visible here
 /// rather than happening silently.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultLog {
-    events: Vec<FaultEvent>,
+    events: VecDeque<FaultEvent>,
+    batch_panics: usize,
+    quarantines: usize,
+    worker_restarts: usize,
+    poisonings: usize,
 }
 
 impl FaultLog {
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
+    /// The retained events (the newest [`FAULT_LOG_CAPACITY`]), oldest
+    /// first.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = &FaultEvent> {
+        self.events.iter()
     }
 
     /// `true` if no fault has been recorded.
@@ -381,37 +393,47 @@ impl FaultLog {
         self.events.is_empty()
     }
 
-    /// Number of recorded events.
+    /// Number of retained events (at most [`FAULT_LOG_CAPACITY`]).
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
+    /// Number of events ever recorded, retained or not.
+    pub fn total(&self) -> usize {
+        self.batch_panics + self.quarantines + self.worker_restarts + self.poisonings
+    }
+
     /// Number of worker restarts recorded.
     pub fn worker_restarts(&self) -> usize {
-        self.count(|e| matches!(e, FaultEvent::WorkerRestarted { .. }))
+        self.worker_restarts
     }
 
     /// Number of batch panics recorded (each failed application attempt).
     pub fn batch_panics(&self) -> usize {
-        self.count(|e| matches!(e, FaultEvent::BatchPanicked { .. }))
+        self.batch_panics
     }
 
     /// Number of batches quarantined.
     pub fn quarantines(&self) -> usize {
-        self.count(|e| matches!(e, FaultEvent::BatchQuarantined { .. }))
+        self.quarantines
     }
 
     /// Number of shards fenced off as poisoned.
     pub fn poisonings(&self) -> usize {
-        self.count(|e| matches!(e, FaultEvent::ShardPoisoned { .. }))
-    }
-
-    fn count(&self, pred: impl Fn(&FaultEvent) -> bool) -> usize {
-        self.events.iter().filter(|e| pred(e)).count()
+        self.poisonings
     }
 
     pub(crate) fn record(&mut self, event: FaultEvent) {
-        self.events.push(event);
+        *match event {
+            FaultEvent::BatchPanicked { .. } => &mut self.batch_panics,
+            FaultEvent::BatchQuarantined { .. } => &mut self.quarantines,
+            FaultEvent::WorkerRestarted { .. } => &mut self.worker_restarts,
+            FaultEvent::ShardPoisoned { .. } => &mut self.poisonings,
+        } += 1;
+        if self.events.len() == FAULT_LOG_CAPACITY {
+            self.events.pop_front();
+        }
+        self.events.push_back(event);
     }
 }
 
@@ -451,6 +473,41 @@ mod tests {
         assert_eq!(log.worker_restarts(), 1);
         assert_eq!(log.quarantines(), 1);
         assert_eq!(log.poisonings(), 0);
+    }
+
+    #[test]
+    fn fault_log_keeps_the_newest_events_and_exact_totals() {
+        let extra = 37;
+        let event = |i: usize| match i % 4 {
+            0 => FaultEvent::BatchPanicked {
+                shard: i,
+                attempt: 1,
+                mass: 1,
+            },
+            1 => FaultEvent::BatchQuarantined {
+                shard: i,
+                mass: 1,
+                updates: 1,
+            },
+            2 => FaultEvent::WorkerRestarted {
+                shard: i,
+                generation: 1,
+            },
+            _ => FaultEvent::ShardPoisoned { shard: i },
+        };
+        let mut log = FaultLog::default();
+        let recorded = FAULT_LOG_CAPACITY + extra;
+        for i in 0..recorded {
+            log.record(event(i));
+        }
+        assert_eq!(log.len(), FAULT_LOG_CAPACITY);
+        assert!(log.events().copied().eq((extra..recorded).map(event)));
+        let of_kind = |k: usize| (0..recorded).filter(|i| i % 4 == k).count();
+        assert_eq!(log.batch_panics(), of_kind(0));
+        assert_eq!(log.quarantines(), of_kind(1));
+        assert_eq!(log.worker_restarts(), of_kind(2));
+        assert_eq!(log.poisonings(), of_kind(3));
+        assert_eq!(log.total(), recorded);
     }
 
     #[cfg(feature = "failpoints")]

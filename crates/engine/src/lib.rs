@@ -154,6 +154,6 @@ pub use engine::{BackpressurePolicy, EngineConfig, EngineStats, IngestEngine, In
 pub use error::EngineError;
 #[cfg(feature = "failpoints")]
 pub use fault::{FaultAction, FaultPlan};
-pub use fault::{FaultEvent, FaultInjector, FaultLog};
+pub use fault::{FaultEvent, FaultInjector, FaultLog, FAULT_LOG_CAPACITY};
 pub use retrain::{RetrainConfig, RetrainStats, Retrainer, TrainedScheme};
 pub use snapshot::{EpochStamp, SnapshotEstimate, SnapshotReader};

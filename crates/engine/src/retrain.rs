@@ -30,7 +30,7 @@ use crate::engine::{EngineConfig, EngineStats, IngestEngine};
 use crate::error::EngineError;
 use opthash::solver::SolverStats;
 use opthash::OptHash;
-use opthash_stream::{ElementId, StreamElement, StreamPrefix};
+use opthash_stream::{ElementId, FixedState, StreamElement, StreamPrefix};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -117,8 +117,9 @@ pub struct Retrainer {
     /// Ring of the last `window` arrival IDs, oldest first.
     ring: VecDeque<ElementId>,
     /// Exact window counts plus each ID's first-seen element (whose
-    /// features represent it in the training prefix).
-    window_counts: HashMap<ElementId, (u64, StreamElement)>,
+    /// features represent it in the training prefix). Fixed hash keys keep
+    /// the prefix order, and so the trained scheme, the same in every run.
+    window_counts: HashMap<ElementId, (u64, StreamElement), FixedState>,
     since_retrain: usize,
     scheme: Arc<TrainedScheme>,
     /// In-flight background training, if any.
@@ -146,7 +147,7 @@ impl Retrainer {
             engine: IngestEngine::new(initial, engine),
             config,
             ring: VecDeque::with_capacity(config.window),
-            window_counts: HashMap::new(),
+            window_counts: HashMap::default(),
             since_retrain: 0,
             scheme,
             pending: None,
@@ -493,5 +494,38 @@ mod tests {
         assert!(retrainer.window_counts.contains_key(&ElementId(31)));
         assert!(!retrainer.window_counts.contains_key(&ElementId(0)));
         retrainer.finish().unwrap();
+    }
+
+    #[test]
+    fn same_arrivals_swap_in_identical_schemes() {
+        let run = || {
+            let mut retrainer = Retrainer::new(
+                initial_scheme(),
+                EngineConfig::with_shards(1),
+                RetrainConfig {
+                    window: 4_096,
+                    retrain_interval: 1_000_000,
+                    min_distinct: 1,
+                    background: false,
+                    portfolio: false,
+                },
+            );
+            for i in 0..4_000u64 {
+                let id = (i * i) % 700;
+                retrainer
+                    .ingest(&StreamElement::new(id, vec![(id % 13) as f64]))
+                    .unwrap();
+            }
+            assert!(retrainer.retrain_now().unwrap());
+            let scheme = retrainer.scheme();
+            retrainer.finish().unwrap();
+            scheme
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.version, 1);
+        assert_eq!(
+            a.estimator.solution().assignment,
+            b.estimator.solution().assignment
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! per-split feature count for this model (Section 6.2) and selects it as the
 //! classifier for the search-query study (Section 7.3).
 
-use crate::cart::{CartConfig, DecisionTree};
+use crate::cart::{CartConfig, Columns, DecisionTree};
 use crate::classifier::Classifier;
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -59,26 +59,39 @@ impl RandomForest {
                 num_classes,
             };
         }
-        let max_features = config
-            .max_features
-            .unwrap_or_else(|| (data.num_features() as f64).sqrt().ceil().max(1.0) as usize);
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let n = data.len();
-        let trees = (0..config.num_trees)
-            .map(|t| {
-                let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                let sample = data.subset(&bootstrap).with_num_classes(num_classes);
-                let cart_config = CartConfig {
-                    max_depth: config.max_depth,
-                    min_samples_split: config.min_samples_split,
-                    min_impurity_decrease: 0.0,
-                    max_features: Some(max_features),
-                    seed: config.seed.wrapping_add(t as u64 + 1),
-                };
-                DecisionTree::fit(&sample, &cart_config)
+        let columns = Columns::new(data);
+        let trees = Self::bootstraps(config, data.len())
+            .into_iter()
+            .enumerate()
+            .map(|(t, bootstrap)| {
+                let cart_config = Self::tree_config(config, data.num_features(), t);
+                DecisionTree::fit_rows(&columns, bootstrap, &cart_config)
             })
             .collect();
         RandomForest { trees, num_classes }
+    }
+
+    /// The bootstrap resample of each tree: `n` row indices drawn with
+    /// replacement, in draw order.
+    fn bootstraps(config: &ForestConfig, n: usize) -> Vec<Vec<usize>> {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        (0..config.num_trees)
+            .map(|_| (0..n).map(|_| rng.gen_range(0..n)).collect())
+            .collect()
+    }
+
+    /// The configuration of tree `t`.
+    fn tree_config(config: &ForestConfig, num_features: usize, t: usize) -> CartConfig {
+        let max_features = config
+            .max_features
+            .unwrap_or_else(|| (num_features as f64).sqrt().ceil().max(1.0) as usize);
+        CartConfig {
+            max_depth: config.max_depth,
+            min_samples_split: config.min_samples_split,
+            min_impurity_decrease: 0.0,
+            max_features: Some(max_features),
+            seed: config.seed.wrapping_add(t as u64 + 1),
+        }
     }
 
     /// Number of trees.
@@ -196,6 +209,39 @@ mod tests {
         );
         for row in data.rows().iter().take(20) {
             assert_eq!(a.predict(row), b.predict(row));
+        }
+    }
+
+    #[test]
+    fn shared_columns_grow_the_same_trees_as_bootstrap_copies() {
+        let mut data = noisy_clusters(7);
+        // Sparse, tied columns as in the text features.
+        let mut rng = StdRng::seed_from_u64(8);
+        let rows: Vec<Vec<f64>> = data
+            .rows()
+            .iter()
+            .map(|row| {
+                let mut row = row.clone();
+                row.extend((0..6).map(|_| f64::from(u8::from(rng.gen_bool(0.1)))));
+                row
+            })
+            .collect();
+        data = Dataset::from_rows(rows, data.labels().to_vec()).with_num_classes(6);
+        for max_features in [None, Some(1), Some(8)] {
+            let config = ForestConfig {
+                num_trees: 5,
+                max_features,
+                seed: 11,
+                ..ForestConfig::default()
+            };
+            let forest = RandomForest::fit(&data, &config);
+            let bootstraps = RandomForest::bootstraps(&config, data.len());
+            for (t, (tree, bootstrap)) in forest.trees.iter().zip(&bootstraps).enumerate() {
+                let sample = data.subset(bootstrap).with_num_classes(data.num_classes());
+                let cart_config = RandomForest::tree_config(&config, data.num_features(), t);
+                let copied = DecisionTree::fit(&sample, &cart_config);
+                assert_eq!(tree.shape(), copied.shape(), "tree {t}, {config:?}");
+            }
         }
     }
 

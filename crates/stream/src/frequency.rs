@@ -3,7 +3,18 @@
 use crate::element::{ElementId, StreamElement};
 use crate::stream::Stream;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+/// Hasher state with fixed keys, for maps whose iteration order reaches
+/// training. `RandomState` draws new keys in every process, and iteration
+/// order sets a training prefix's order, which seeds the frequency sample;
+/// with fixed keys one seed trains one scheme in every run. Known keys give
+/// up `RandomState`'s defence against crafted colliding keys, so use this
+/// only where the keys are element IDs of in-process streams; maps keyed by
+/// what wire clients send keep `RandomState`.
+pub type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// Exact frequency distribution `f` of a stream: a map from element ID to its
 /// number of occurrences.
@@ -14,7 +25,7 @@ use std::collections::HashMap;
 /// paper's compressed estimators are measured against.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FrequencyVector {
-    counts: HashMap<ElementId, u64>,
+    counts: HashMap<ElementId, u64, FixedState>,
     total: u64,
 }
 
@@ -92,7 +103,8 @@ impl FrequencyVector {
         self.counts.values().copied().max().unwrap_or(0)
     }
 
-    /// Iterates over `(id, frequency)` pairs in unspecified order.
+    /// Iterates over `(id, frequency)` pairs in an unspecified order that
+    /// depends only on the inserted IDs, never on the process.
     pub fn iter(&self) -> impl Iterator<Item = (ElementId, u64)> + '_ {
         self.counts.iter().map(|(&id, &c)| (id, c))
     }
@@ -151,6 +163,19 @@ pub trait FrequencyEstimator {
 mod tests {
     use super::*;
     use crate::element::StreamElement;
+
+    #[test]
+    fn vectors_from_one_stream_iterate_in_the_same_order() {
+        let stream = Stream::from_arrivals(
+            (0..5_000u64)
+                .map(|i| StreamElement::without_features((i * 7_919) % 1_013))
+                .collect(),
+        );
+        let a: Vec<(ElementId, u64)> = FrequencyVector::from_stream(&stream).iter().collect();
+        let b: Vec<(ElementId, u64)> = FrequencyVector::from_stream(&stream).iter().collect();
+        assert_eq!(a.len(), 1_013);
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn from_stream_counts_occurrences() {
