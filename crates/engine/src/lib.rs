@@ -155,5 +155,5 @@ pub use error::EngineError;
 #[cfg(feature = "failpoints")]
 pub use fault::{FaultAction, FaultPlan};
 pub use fault::{FaultEvent, FaultInjector, FaultLog, FAULT_LOG_CAPACITY};
-pub use retrain::{RetrainConfig, RetrainStats, Retrainer, TrainedScheme};
+pub use retrain::{RetrainConfig, RetrainStats, Retrainer, TrainedScheme, RETIRED_CAPACITY};
 pub use snapshot::{EpochStamp, SnapshotEstimate, SnapshotReader};

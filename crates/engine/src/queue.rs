@@ -675,68 +675,77 @@ impl<B: SketchBackend> ShardChannel<B> {
     /// Replaces the shard snapshot with a freshly cloned consistent state
     /// (carrying `mass` applied count mass) and clears the journal it
     /// covers; acks `epoch` if this checkpoint completes a sync barrier.
-    /// `at_checkpoint` runs inside the critical section (it hosts the
-    /// `worker::checkpoint` failpoint — a panic there poisons the shard,
-    /// which is exactly the scenario the failpoint exists to exercise).
+    /// `failpoint` is called with `"worker::checkpoint"` inside the
+    /// critical section (a panic there poisons the shard, which is exactly
+    /// the scenario that failpoint exists to exercise) and with
+    /// `"worker::publish"` between the recovery update and the publication.
     ///
     /// The same `Arc` is then published to the shard's query-snapshot slot
     /// — *outside* the control section, so a slow failpoint or a contended
     /// control lock can never delay a wait-free reader, and a publication
-    /// costs one `Arc` clone rather than a state copy.
+    /// costs one `Arc` clone rather than a state copy. The ack comes last:
+    /// a completed barrier proves the slot already holds the snapshot, so a
+    /// stamp taken after `flush()` accounts for every flushed unit.
     pub fn checkpoint(
         &self,
         snapshot: Arc<B>,
         mass: u64,
         epoch: Option<u64>,
-        at_checkpoint: impl FnOnce(),
+        failpoint: impl Fn(&'static str),
     ) {
         let mut inner = self.lock_always();
-        at_checkpoint();
+        failpoint("worker::checkpoint");
         inner.snapshot = Arc::clone(&snapshot);
         inner.snapshot_mass = mass;
         inner.journal.clear();
-        if let Some(epoch) = epoch {
-            inner.acked_epoch = epoch;
-        }
         drop(inner);
+        failpoint("worker::publish");
         self.slot.publish(snapshot, mass);
+        if let Some(epoch) = epoch {
+            self.lock_always().acked_epoch = epoch;
+        }
         self.progress.notify_all();
     }
 
-    /// Completes a pending scheme swap in one critical section: the shard's
-    /// recovery state becomes `fresh` (the worker's new scratch, a fork of
-    /// the swapped-in base) with an empty journal, the pre-swap delta
-    /// (carrying `retired_mass`) is parked for the engine to collect, and
-    /// the request is cleared. Until this commits, recovery still
-    /// reconstructs the *old* scratch — so the swap is atomic with respect
-    /// to worker death. The fresh and retired snapshots are then published
-    /// to the query-snapshot slot under the new `version`.
+    /// Completes a pending scheme swap. One critical section makes the
+    /// shard's recovery state `fresh` (the worker's new scratch, a fork of
+    /// the swapped-in base) with an empty journal and parks the pre-swap
+    /// delta (carrying `retired_mass`) for the engine to collect; until it
+    /// commits, recovery still reconstructs the *old* scratch, so the swap
+    /// is atomic with respect to worker death. The fresh and retired
+    /// snapshots are then published to the query-snapshot slot under the
+    /// new `version`, and only then is the request cleared — so once
+    /// `wait_swap` reports done, the slot holds the new version and the
+    /// engine may advance the snapshot base. Nothing between the two
+    /// sections can unwind, so a still-set request is never redone on top
+    /// of the committed state.
     pub fn complete_swap(&self, version: u64, fresh: Arc<B>, retired: Arc<B>, retired_mass: u64) {
         let mut inner = self.lock_always();
         inner.snapshot = Arc::clone(&fresh);
         inner.snapshot_mass = 0;
         inner.journal.clear();
         inner.retired = Some(Arc::clone(&retired));
-        inner.swap_request = None;
         drop(inner);
         self.slot
             .publish_swap(version, fresh, retired_mass, retired);
+        self.lock_always().swap_request = None;
         self.progress.notify_all();
     }
 
     /// Publishes the worker's final scratch state on clean shutdown: a
     /// checkpoint by *move* (no clone — the worker is done with it), which
-    /// also acks any pending sync barrier and refreshes the query-snapshot
-    /// slot one last time.
+    /// refreshes the query-snapshot slot one last time and then acks any
+    /// sync barrier pending when the state was recorded.
     pub fn publish_exit(&self, state: B, mass: u64) {
         let published = Arc::new(state);
         let mut inner = self.lock_always();
         inner.snapshot = Arc::clone(&published);
         inner.snapshot_mass = mass;
         inner.journal.clear();
-        inner.acked_epoch = inner.sync_epoch;
+        let epoch = inner.sync_epoch;
         drop(inner);
         self.slot.publish(published, mass);
+        self.lock_always().acked_epoch = epoch;
         self.progress.notify_all();
     }
 

@@ -24,7 +24,8 @@
 //! (`include_prefix_counts`), so post-swap queries answer *recent* traffic
 //! — exactly the estimate a drifting workload wants — while the retired
 //! scheme (with every count it accumulated) is handed back through
-//! [`Retrainer::take_retired`].
+//! [`Retrainer::take_retired`], which holds the newest
+//! [`RETIRED_CAPACITY`] of them.
 
 use crate::engine::{EngineConfig, EngineStats, IngestEngine};
 use crate::error::EngineError;
@@ -34,6 +35,11 @@ use opthash_stream::{ElementId, FixedState, StreamElement, StreamPrefix};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Retired backends a [`Retrainer`] holds for [`Retrainer::take_retired`]:
+/// a swap past this drops the oldest one and counts it in
+/// [`RetrainStats::retired_dropped`].
+pub const RETIRED_CAPACITY: usize = 16;
 
 /// Configuration of a [`Retrainer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +114,9 @@ pub struct RetrainStats {
     /// Background trainings that panicked; the incumbent scheme stayed
     /// live.
     pub failed: u64,
+    /// Retired backends dropped uncollected because [`RETIRED_CAPACITY`]
+    /// newer ones were already held.
+    pub retired_dropped: u64,
 }
 
 /// A live ingest engine that re-trains its [`OptHash`] scheme online.
@@ -125,7 +134,7 @@ pub struct Retrainer {
     /// In-flight background training, if any.
     pending: Option<JoinHandle<OptHash>>,
     /// Retired backends from completed swaps, oldest first, until the
-    /// caller collects them.
+    /// caller collects them; at most [`RETIRED_CAPACITY`].
     retired: Vec<OptHash>,
     stats: RetrainStats,
 }
@@ -192,7 +201,8 @@ impl Retrainer {
     }
 
     /// Retired backends from completed swaps (each holds every count it
-    /// accumulated while live), oldest first.
+    /// accumulated while live), oldest first: the newest
+    /// [`RETIRED_CAPACITY`] since the last call.
     pub fn take_retired(&mut self) -> Vec<OptHash> {
         std::mem::take(&mut self.retired)
     }
@@ -345,6 +355,10 @@ impl Retrainer {
             estimator,
         });
         let retired = self.engine.swap_backend(scheme.estimator.clone())?;
+        if self.retired.len() == RETIRED_CAPACITY {
+            self.retired.remove(0);
+            self.stats.retired_dropped += 1;
+        }
         self.retired.push(retired);
         self.scheme = scheme;
         self.stats.swaps += 1;
@@ -444,6 +458,53 @@ mod tests {
         }
         assert!(retrainer.scheme_version() >= 1);
         assert_eq!(retrainer.engine_stats().unaccounted_mass(), 0);
+        retrainer.finish().unwrap();
+    }
+
+    #[test]
+    fn uncollected_retired_backends_keep_only_the_newest() {
+        // The window is exactly one round, so the scheme swapped in after
+        // round `r` stores round `r`'s ids and no others.
+        let round_id = |round: u64, i: u64| 10_000 * (round + 1) + i % 8;
+        let mut retrainer = Retrainer::new(
+            initial_scheme(),
+            EngineConfig::with_shards(1),
+            RetrainConfig {
+                window: 64,
+                retrain_interval: usize::MAX,
+                min_distinct: 1,
+                background: false,
+                portfolio: false,
+            },
+        );
+        let swaps = RETIRED_CAPACITY as u64 + 3;
+        for round in 0..swaps {
+            for i in 0..64u64 {
+                retrainer
+                    .ingest(&StreamElement::without_features(round_id(round, i)))
+                    .unwrap();
+            }
+            assert!(retrainer.retrain_now().unwrap());
+        }
+        let stats = retrainer.retrain_stats();
+        assert_eq!(stats.swaps, swaps);
+        assert_eq!(stats.retired_dropped, 3);
+        let retired = retrainer.take_retired();
+        assert_eq!(retired.len(), RETIRED_CAPACITY);
+        // Swaps 0..3 retired the initial scheme and the rounds 0 and 1
+        // schemes; those were dropped. Swap `s` ≥ 3 retired the scheme
+        // trained on round `s − 1`, oldest first.
+        for (kept, backend) in retired.iter().enumerate() {
+            let trained_on = 2 + kept as u64;
+            for round in 0..swaps {
+                assert_eq!(
+                    backend.is_stored(ElementId(round_id(round, 0))),
+                    round == trained_on,
+                    "retired backend {kept} must be the scheme trained on round {trained_on}"
+                );
+            }
+        }
+        assert!(retrainer.take_retired().is_empty());
         retrainer.finish().unwrap();
     }
 

@@ -159,8 +159,8 @@ fn run_worker<B: SketchBackend>(
             }
             WorkerEvent::Sync(epoch) => {
                 let snapshot = Arc::new(scratch.clone());
-                cell.checkpoint(snapshot, scratch_mass, Some(epoch), || {
-                    faults.hit_at("worker::checkpoint", Some(shard));
+                cell.checkpoint(snapshot, scratch_mass, Some(epoch), |point| {
+                    faults.hit_at(point, Some(shard));
                 });
                 since_checkpoint = 0;
             }
@@ -182,8 +182,8 @@ fn run_worker<B: SketchBackend>(
                         since_checkpoint += 1;
                         if since_checkpoint >= config.checkpoint_interval {
                             let snapshot = Arc::new(scratch.clone());
-                            cell.checkpoint(snapshot, scratch_mass, None, || {
-                                faults.hit_at("worker::checkpoint", Some(shard));
+                            cell.checkpoint(snapshot, scratch_mass, None, |point| {
+                                faults.hit_at(point, Some(shard));
                             });
                             since_checkpoint = 0;
                         }

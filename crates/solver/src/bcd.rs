@@ -233,7 +233,7 @@ impl BcdSolver {
                     // Use the mean-absolute-deviation cost so the warm start is
                     // exactly the solution `solve_frequency_only` would return.
                     ClusterCost::MeanAbs,
-                    DpStrategy::DivideAndConquer,
+                    DpStrategy::Quadratic,
                 )
                 .assignment
             }

@@ -10,9 +10,18 @@
 //!
 //! This module implements:
 //!
-//! * a quadratic reference DP (`O(n²·b)`), and
+//! * a quadratic DP (`O(n²·b)` in the worst case). Each cell is `O(1)`
+//!   amortized: the mean cost's split point is walked from the previous
+//!   cell instead of searched for. A row scan stops once the previous row's
+//!   prefix cost alone reaches the best candidate. Cells whose previous-row
+//!   prefix costs are all zero are resolved by a direct search for the
+//!   first zero-cost last cluster. On integer counts with fewer distinct
+//!   values than clusters most rows are such rows, so the work tracks the
+//!   distinct count rather than `n`. A test keeps it bit-identical to the
+//!   plain scan with a binary-searched split.
 //! * a divide-and-conquer DP (`O(n·b·log n)`) exploiting the monotonicity of
-//!   the optimal split points (the cost matrix is concave-Monge),
+//!   the optimal split points (the cost matrix is concave-Monge), used for
+//!   the median cost only,
 //!
 //! both returning provably optimal partitions for the chosen
 //! [`ClusterCost`]. Two costs are supported: deviation from the cluster
@@ -50,8 +59,9 @@ pub enum DpStrategy {
     /// back to [`DpStrategy::Quadratic`] to stay exact.
     #[default]
     DivideAndConquer,
-    /// Plain quadratic DP, `O(n²·b)`; kept as a reference implementation and
-    /// as the exact path for the mean-deviation cost.
+    /// Quadratic DP, `O(n²·b)` in the worst case, with the walked mean split
+    /// and the zero-prefix rule of the module docs; the exact path for the
+    /// mean-deviation cost.
     Quadratic,
 }
 
@@ -67,9 +77,9 @@ pub struct KMedianResult {
     /// groups)` — always `min(k, n)`).
     pub clusters_used: usize,
     /// DP cells evaluated (candidate `(split, prefix)` pairs scored). The
-    /// monotonicity pruning of the quadratic strategy and the shrinking
-    /// argmin windows of divide-and-conquer both show up directly in this
-    /// counter.
+    /// row-scan break and the zero-prefix rule of the quadratic strategy and
+    /// the shrinking argmin windows of divide-and-conquer all show up
+    /// directly in this counter.
     pub cells_evaluated: u64,
 }
 
@@ -101,7 +111,14 @@ impl<'a> RangeCost<'a> {
     }
 
     /// Total absolute deviation of the sorted slice `l..=r` from its center.
-    fn range_cost(&self, l: usize, r: usize) -> f64 {
+    ///
+    /// `split` carries the mean cost's partition point between calls: on
+    /// entry it is any absolute index, on exit the first index of `l..=r`
+    /// whose value lies above the mean (or `r + 1`). The walk from the
+    /// previous call's point replaces a binary search per call; a sorted
+    /// slice has exactly one partition point, so the cost is bit-identical
+    /// to the searched one. The median cost ignores `split`.
+    fn range_cost(&self, l: usize, r: usize, split: &mut usize) -> f64 {
         if l >= r {
             return 0.0;
         }
@@ -124,10 +141,19 @@ impl<'a> RangeCost<'a> {
             ClusterCost::MeanAbs => {
                 let count = (r - l + 1) as f64;
                 let mean = self.range_sum(l, r) / count;
-                // Values are sorted: find the first index > mean by binary
-                // search within [l, r].
-                let slice = &self.sorted[l..=r];
-                let split = slice.partition_point(|&v| v <= mean);
+                // The partition predicate, negated as a whole below so a
+                // NaN mean (overflowed sums) still lands where a search
+                // would: at `l`.
+                let at_or_below = |v: f64| v <= mean;
+                let mut p = (*split).clamp(l, r + 1);
+                while p > l && !at_or_below(self.sorted[p - 1]) {
+                    p -= 1;
+                }
+                while p <= r && at_or_below(self.sorted[p]) {
+                    p += 1;
+                }
+                *split = p;
+                let split = p - l;
                 let below = split as f64;
                 let above = count - below;
                 let below_sum = if split == 0 {
@@ -218,25 +244,39 @@ fn kmedian_dp_inner(
     let sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
     let rc = RangeCost::new(&sorted, cost);
 
+    // The mean cost's partition point, walked from cell to cell (see
+    // `RangeCost::range_cost`).
+    let mut mean_split = 0;
     // dp[i] = optimal cost of clustering sorted[0..=i] with the current
     // number of clusters; split[j·n + i] = last cluster's start for
     // backtracking (one flat allocation instead of a Vec per cluster row).
-    let mut dp_prev: Vec<f64> = (0..n).map(|i| rc.range_cost(0, i)).collect();
+    let mut dp_prev: Vec<f64> = (0..n)
+        .map(|i| rc.range_cost(0, i, &mut mean_split))
+        .collect();
     let mut dp_cur = vec![0.0f64; n];
     let mut split = vec![0usize; k * n];
     let mut cells = n as u64;
     // Work stack for the divide-and-conquer strategy, allocated once and
     // reused across every cluster row: (lo, hi, opt_lo, opt_hi).
     let mut stack: Vec<(usize, usize, usize, usize)> = Vec::new();
+    // The previous quadratic row resolved every end `i <= prev_zero_end`
+    // (from its own `j` on) as a zero-prefix cell; `None` before the first
+    // row.
+    let mut prev_zero_end: Option<usize> = None;
 
     let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
     for j in 1..k {
         if cancelled() {
             return None;
         }
-        let split_row = &mut split[j * n..(j + 1) * n];
+        let (done_rows, split_rest) = split.split_at_mut(j * n);
+        let split_row = &mut split_rest[..n];
         match strategy {
             DpStrategy::Quadratic => {
+                // dp_prev[j−1..zero_end] are all exactly zero, so every end
+                // `i <= zero_end` is a zero-prefix cell.
+                let zero_end = (j - 1..n).find(|&x| dp_prev[x] != 0.0).unwrap_or(n);
+                let prev_split_row = &done_rows[(j - 1) * n..];
                 for i in 0..n {
                     // Large rows can dominate the race long after it is
                     // decided; poll cancellation inside the row too.
@@ -247,6 +287,31 @@ fn kmedian_dp_inner(
                         // fewer points than clusters: zero cost, each its own
                         dp_cur[i] = 0.0;
                         split_row[i] = i;
+                        continue;
+                    }
+                    if i <= zero_end {
+                        // Every dp_prev[m−1] the scan below could read is
+                        // zero, so its break fires right after the first `m`
+                        // whose candidate is `<= 0.0` — and that candidate is
+                        // the one it keeps. Find that `m` directly; the
+                        // search ends by `m = i`, where the range cost is
+                        // 0.0. The previous row ran the same search from
+                        // `j − 1`, so a split of its at or above `j` is
+                        // where this one ends too.
+                        let mut m = match prev_zero_end {
+                            Some(end) if i <= end && prev_split_row[i] >= j => prev_split_row[i],
+                            _ => j,
+                        };
+                        loop {
+                            cells += 1;
+                            let c = dp_prev[m - 1] + rc.range_cost(m, i, &mut mean_split);
+                            if c <= 0.0 {
+                                dp_cur[i] = c;
+                                split_row[i] = m;
+                                break;
+                            }
+                            m += 1;
+                        }
                         continue;
                     }
                     let mut best = f64::INFINITY;
@@ -260,7 +325,7 @@ fn kmedian_dp_inner(
                             break;
                         }
                         cells += 1;
-                        let c = dp_prev[m - 1] + rc.range_cost(m, i);
+                        let c = dp_prev[m - 1] + rc.range_cost(m, i, &mut mean_split);
                         if c < best {
                             best = c;
                             best_m = m;
@@ -269,6 +334,7 @@ fn kmedian_dp_inner(
                     dp_cur[i] = best;
                     split_row[i] = best_m;
                 }
+                prev_zero_end = Some(zero_end);
             }
             DpStrategy::DivideAndConquer => {
                 // Fill dp_cur[lo..=hi] knowing the optimal split index lies
@@ -296,7 +362,7 @@ fn kmedian_dp_inner(
                                 break;
                             }
                             cells += 1;
-                            let c = dp_prev[m - 1] + rc.range_cost(m, mid);
+                            let c = dp_prev[m - 1] + rc.range_cost(m, mid, &mut mean_split);
                             if c < best {
                                 best = c;
                                 best_m = m;
@@ -317,7 +383,14 @@ fn kmedian_dp_inner(
         std::mem::swap(&mut dp_prev, &mut dp_cur);
     }
 
-    // Backtrack cluster boundaries from split[k-1][n-1].
+    Some(assemble(&order, &split, k, dp_prev[n - 1], cells))
+}
+
+/// Backtracks the cluster boundaries from the last row of `split` (`k` rows
+/// of `order.len()` last-cluster starts) and reports each value's cluster in
+/// input order.
+fn assemble(order: &[usize], split: &[usize], k: usize, cost: f64, cells: u64) -> KMedianResult {
+    let n = order.len();
     let mut boundaries = Vec::with_capacity(k);
     let mut end = n - 1;
     let mut j = k - 1;
@@ -335,21 +408,19 @@ fn kmedian_dp_inner(
     // Map sorted positions to cluster indices, then back to input order.
     let mut cluster_of_sorted = vec![0usize; n];
     for (cluster, &(s, e)) in boundaries.iter().enumerate() {
-        for pos in s..=e {
-            cluster_of_sorted[pos] = cluster;
-        }
+        cluster_of_sorted[s..=e].fill(cluster);
     }
     let mut assignment = vec![0usize; n];
     for (pos, &orig) in order.iter().enumerate() {
         assignment[orig] = cluster_of_sorted[pos];
     }
 
-    Some(KMedianResult {
+    KMedianResult {
         assignment,
-        cost: dp_prev[n - 1],
+        cost,
         clusters_used: boundaries.len(),
         cells_evaluated: cells,
-    })
+    }
 }
 
 /// Solves a [`HashingProblem`] with `λ = 1` (or ignoring features) using the
@@ -358,31 +429,20 @@ fn kmedian_dp_inner(
 ///
 /// The DP minimizes the [`ClusterCost::MeanAbs`] deviation, i.e. exactly the
 /// estimation-error term of Problem (1), over contiguous partitions of the
-/// sorted frequencies (via the exact quadratic DP — see
-/// [`DpStrategy::DivideAndConquer`] for why the subquadratic strategy is
-/// reserved for the median cost).
+/// sorted frequencies, with the exact [`DpStrategy::Quadratic`] DP (the
+/// divide-and-conquer strategy is reserved for the median cost). Its cost
+/// grows with the distinct frequencies more than with `n`: once `j + 1`
+/// clusters hold every prefix at zero cost, each cell of a later row is
+/// resolved by a short direct search.
 pub fn solve_frequency_only(problem: &HashingProblem) -> HashingSolution {
-    let start = Instant::now();
-    let result = kmedian_dp_with(
-        &problem.frequencies,
-        problem.buckets,
-        ClusterCost::MeanAbs,
-        DpStrategy::DivideAndConquer,
-    );
-    let stats = SolverStats {
-        elapsed: start.elapsed(),
-        iterations: result.cells_evaluated as usize,
-        proven_optimal: true,
-        restarts: 0,
-        moves_evaluated: result.cells_evaluated,
-        time_to_best: start.elapsed(),
-        ..SolverStats::default()
-    };
-    problem.solution_from_assignment(result.assignment, stats)
+    solve_frequency_only_cancellable(problem, &AtomicBool::new(false))
+        .expect("an unraised cancel flag never stops the DP")
 }
 
-/// Cancellable variant of [`solve_frequency_only`] for the racing portfolio:
-/// returns `None` if `cancel` is raised before the DP table completes.
+/// Cancellable form of [`solve_frequency_only`] for the racing portfolio:
+/// the same DP, polling `cancel` once per cluster row and every 1,024
+/// prefix ends within a row; returns `None` if the flag is raised before
+/// the DP table completes.
 pub fn solve_frequency_only_cancellable(
     problem: &HashingProblem,
     cancel: &AtomicBool,
@@ -392,7 +452,7 @@ pub fn solve_frequency_only_cancellable(
         &problem.frequencies,
         problem.buckets,
         ClusterCost::MeanAbs,
-        DpStrategy::DivideAndConquer,
+        DpStrategy::Quadratic,
         cancel,
     )?;
     let stats = SolverStats {
@@ -423,11 +483,11 @@ mod tests {
                 return 0.0;
             }
             if clusters_left == 1 {
-                return rc.range_cost(start, n - 1);
+                return rc.range_cost(start, n - 1, &mut 0);
             }
             let mut best = f64::INFINITY;
             for end in start..n {
-                let c = rc.range_cost(start, end) + rec(rc, end + 1, n, clusters_left - 1);
+                let c = rc.range_cost(start, end, &mut 0) + rec(rc, end + 1, n, clusters_left - 1);
                 if c < best {
                     best = c;
                 }
@@ -458,6 +518,209 @@ mod tests {
             total += sorted.iter().map(|v| (v - center).abs()).sum::<f64>();
         }
         total
+    }
+
+    /// The mean cost as it stood before the walked split — one binary
+    /// search per call — kept verbatim for the bit-identity oracle.
+    fn searched_range_cost(rc: &RangeCost<'_>, l: usize, r: usize) -> f64 {
+        if l >= r {
+            return 0.0;
+        }
+        match rc.cost {
+            ClusterCost::MedianAbs => {
+                let m = l + (r - l) / 2;
+                let median = rc.sorted[m];
+                let left = if m == l {
+                    0.0
+                } else {
+                    median * ((m - l) as f64) - rc.range_sum(l, m - 1)
+                };
+                let right = if m == r {
+                    0.0
+                } else {
+                    rc.range_sum(m + 1, r) - median * ((r - m) as f64)
+                };
+                left + right
+            }
+            ClusterCost::MeanAbs => {
+                let count = (r - l + 1) as f64;
+                let mean = rc.range_sum(l, r) / count;
+                // Values are sorted: find the first index > mean by binary
+                // search within [l, r].
+                let slice = &rc.sorted[l..=r];
+                let split = slice.partition_point(|&v| v <= mean);
+                let below = split as f64;
+                let above = count - below;
+                let below_sum = if split == 0 {
+                    0.0
+                } else {
+                    rc.range_sum(l, l + split - 1)
+                };
+                let above_sum = rc.range_sum(l, r) - below_sum;
+                (mean * below - below_sum) + (above_sum - mean * above)
+            }
+        }
+    }
+
+    /// The quadratic DP as it stood before the zero-prefix rule and the
+    /// walked split, kept verbatim (less the cancel polls) as the oracle the
+    /// shipped loop must match bit for bit.
+    fn reference_quadratic(values: &[f64], k: usize, cost: ClusterCost) -> KMedianResult {
+        let n = values.len();
+        let k = k.min(n);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap());
+        let sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
+        let rc = RangeCost::new(&sorted, cost);
+        let mut dp_prev: Vec<f64> = (0..n).map(|i| searched_range_cost(&rc, 0, i)).collect();
+        let mut dp_cur = vec![0.0f64; n];
+        let mut split = vec![0usize; k * n];
+        let mut cells = n as u64;
+        for j in 1..k {
+            let split_row = &mut split[j * n..(j + 1) * n];
+            for i in 0..n {
+                if i < j {
+                    // fewer points than clusters: zero cost, each its own
+                    dp_cur[i] = 0.0;
+                    split_row[i] = i;
+                    continue;
+                }
+                let mut best = f64::INFINITY;
+                let mut best_m = j;
+                // dp_prev is non-decreasing in the prefix length (adding
+                // the largest element of a sorted prefix never lowers the
+                // optimal cost), so once dp_prev[m−1] alone reaches the
+                // best candidate no later split can win.
+                for m in j..=i {
+                    if dp_prev[m - 1] >= best {
+                        break;
+                    }
+                    cells += 1;
+                    let c = dp_prev[m - 1] + searched_range_cost(&rc, m, i);
+                    if c < best {
+                        best = c;
+                        best_m = m;
+                    }
+                }
+                dp_cur[i] = best;
+                split_row[i] = best_m;
+            }
+            std::mem::swap(&mut dp_prev, &mut dp_cur);
+        }
+        assemble(&order, &split, k, dp_prev[n - 1], cells)
+    }
+
+    /// Runs the shipped quadratic DP and the oracle on one instance and
+    /// asserts the same assignment, cost bits and cluster count; returns
+    /// `(shipped, oracle)` cell counts.
+    fn assert_matches_oracle(values: &[f64], k: usize, cost: ClusterCost) -> (u64, u64) {
+        let fast = kmedian_dp_with(values, k, cost, DpStrategy::Quadratic);
+        let oracle = reference_quadratic(values, k, cost);
+        let case = || format!("{cost:?}, n = {}, k = {k}, values {values:?}", values.len());
+        assert_eq!(fast.assignment, oracle.assignment, "assignment: {}", case());
+        assert_eq!(
+            fast.cost.to_bits(),
+            oracle.cost.to_bits(),
+            "cost {} vs oracle {}: {}",
+            fast.cost,
+            oracle.cost,
+            case()
+        );
+        assert_eq!(
+            fast.clusters_used,
+            oracle.clusters_used,
+            "clusters: {}",
+            case()
+        );
+        (fast.cells_evaluated, oracle.cells_evaluated)
+    }
+
+    /// Cluster counts worth checking for an instance: one, two, around the
+    /// distinct count, and at and beyond `n`.
+    fn interesting_ks(values: &[f64]) -> Vec<usize> {
+        let mut distinct = values.to_vec();
+        distinct.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        distinct.dedup();
+        let (n, d) = (values.len(), distinct.len());
+        let mut ks = vec![
+            1,
+            2,
+            3,
+            d.saturating_sub(1).max(1),
+            d,
+            d + 1,
+            d + 3,
+            n,
+            n + 5,
+        ];
+        ks.sort_unstable();
+        ks.dedup();
+        ks
+    }
+
+    #[test]
+    fn quadratic_dp_is_bit_identical_to_the_searched_scan() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut instances: Vec<Vec<f64>> = vec![
+            vec![7.0; 40],
+            vec![-2.5; 13],
+            vec![0.0, 0.0, 1.0, 1.0, 1.0, 5.0, 5.0, 9.0],
+        ];
+        for trial in 0..60u64 {
+            let n = 1 + (next() % 90) as usize;
+            let values: Vec<f64> = match trial % 3 {
+                // Heavy integer ties, the query-log regime.
+                0 => (0..n).map(|_| (next() % (2 + trial % 9)) as f64).collect(),
+                // Decimals around zero, negatives included.
+                1 => (0..n)
+                    .map(|_| (next() % 20_001) as f64 / 100.0 - 100.0)
+                    .collect(),
+                // Skewed counts with a heavy tail.
+                _ => (0..n)
+                    .map(|_| (1_000 / (1 + next() % 200)) as f64)
+                    .collect(),
+            };
+            instances.push(values);
+        }
+        for values in &instances {
+            for k in interesting_ks(values) {
+                for cost in [ClusterCost::MeanAbs, ClusterCost::MedianAbs] {
+                    assert_matches_oracle(values, k, cost);
+                }
+            }
+        }
+    }
+
+    /// A retrain window of the learned query-log path: 769 stored counts
+    /// with a Zipf-like profile (~90 distinct values) hashed into 231
+    /// buckets. Most DP rows are all-zero prefixes here, so the shipped DP
+    /// must match the oracle while scoring at most a fifth of its cells.
+    #[test]
+    fn query_log_shaped_instance_matches_the_oracle_on_a_fifth_of_the_cells() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut values: Vec<f64> = (1..=769u64)
+            .map(|rank| (2_000 / rank).max(1) as f64)
+            .collect();
+        // Fisher–Yates, so the DP's own sort has work to do.
+        for i in (1..values.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            values.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        for cost in [ClusterCost::MeanAbs, ClusterCost::MedianAbs] {
+            let (cells, oracle_cells) = assert_matches_oracle(&values, 231, cost);
+            assert!(
+                cells * 5 <= oracle_cells,
+                "{cost:?}: {cells} cells against the oracle's {oracle_cells}"
+            );
+        }
     }
 
     #[test]

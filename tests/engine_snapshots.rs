@@ -259,4 +259,45 @@ mod failpoints {
             assert_eq!(engine.query(&element(id)).estimate, 1.0);
         }
     }
+
+    /// A sync barrier completes only once the shard's snapshot is
+    /// published. Every worker is held for 200 ms between its checkpoint's
+    /// recovery update and its query-slot publication; `flush()` must wait
+    /// the hold out, so the stamp read right after it accounts for every
+    /// flushed unit. A worker that acked before publishing would let
+    /// `flush()` return while the slots still held the pre-flush epochs.
+    #[test]
+    fn flush_returns_only_after_every_checkpoint_is_published() {
+        let mut engine = IngestEngine::new(
+            CountMinSketch::new(256, 4, 5),
+            EngineConfig::with_shards(4)
+                .batch_capacity(64)
+                .mode(IngestMode::Workers),
+        );
+        let faults = engine.fault_injector();
+        faults.program(
+            "worker::publish",
+            FaultPlan::delay(Duration::from_millis(200)),
+        );
+        // Fewer arrivals than one batch: all of them stay buffered until
+        // the flush dispatches them, so only its checkpoints publish them.
+        for id in 0..10u64 {
+            engine.ingest(&element(id)).unwrap();
+        }
+        assert_eq!(engine.snapshot_stamp().mass_accounted, 0);
+
+        engine.flush().unwrap();
+        let stamp = engine.snapshot_stamp();
+        assert_eq!(
+            stamp.mass_accounted, 10,
+            "a post-flush stamp must account for every flushed unit"
+        );
+        assert!(
+            faults.hits("worker::publish") >= 1,
+            "the flush's checkpoints must pass the held publication point"
+        );
+        for id in 0..10u64 {
+            assert_eq!(engine.query(&element(id)).estimate, 1.0);
+        }
+    }
 }
