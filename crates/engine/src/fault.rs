@@ -20,7 +20,7 @@
 //! | `worker::apply`         | before every single update of a batch        |
 //! | `worker::before_commit` | after a batch applied, before it is recorded |
 //! | `worker::checkpoint`    | inside the snapshot-swap critical section    |
-//! | `worker::publish`       | after a checkpoint, before its slot publish  |
+//! | `worker::publish`       | before a checkpoint's or swap's slot publish |
 //! | `worker::swap`          | on a hot-swap request, before any mutation   |
 //!
 //! A panic at `worker::poll` or `worker::before_commit` kills the worker
@@ -29,10 +29,11 @@
 //! quarantine; a panic at `worker::checkpoint` poisons the shard
 //! (exercising the typed [`crate::EngineError::ShardPoisoned`] query path);
 //! a delay at `worker::batch` throttles a shard's drain rate (exercising
-//! backpressure); a delay at `worker::publish` holds a checkpoint between
-//! its recovery update and its query-snapshot publication (a sync barrier
-//! acks only after the publication, so `flush()` waits it out); a panic at `worker::swap` kills the worker *during a
-//! scheme hot-swap* with the swap request still pending — the supervisor's
+//! backpressure); a delay at `worker::publish` holds a checkpoint or a
+//! scheme swap before its query-snapshot publication (a sync barrier acks
+//! and a swap request clears only after the publication, so `flush()` and
+//! `swap_backend` wait it out); a panic at `worker::swap` kills the worker
+//! *during a scheme hot-swap* with the swap request still pending — the supervisor's
 //! replacement worker rebuilds the pre-swap scratch and redoes the swap,
 //! exercising the exactly-once publish protocol of
 //! [`crate::IngestEngine::swap_backend`]. Without the feature every hook

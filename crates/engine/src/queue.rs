@@ -707,28 +707,42 @@ impl<B: SketchBackend> ShardChannel<B> {
         self.progress.notify_all();
     }
 
-    /// Completes a pending scheme swap. One critical section makes the
-    /// shard's recovery state `fresh` (the worker's new scratch, a fork of
-    /// the swapped-in base) with an empty journal and parks the pre-swap
-    /// delta (carrying `retired_mass`) for the engine to collect; until it
-    /// commits, recovery still reconstructs the *old* scratch, so the swap
-    /// is atomic with respect to worker death. The fresh and retired
-    /// snapshots are then published to the query-snapshot slot under the
-    /// new `version`, and only then is the request cleared — so once
-    /// `wait_swap` reports done, the slot holds the new version and the
-    /// engine may advance the snapshot base. Nothing between the two
-    /// sections can unwind, so a still-set request is never redone on top
-    /// of the committed state.
-    pub fn complete_swap(&self, version: u64, fresh: Arc<B>, retired: Arc<B>, retired_mass: u64) {
+    /// Completes a pending scheme swap. The fresh snapshot (the worker's new
+    /// scratch, a fork of the swapped-in base) and the retired pre-swap
+    /// delta (carrying `retired_mass`) are first published to the
+    /// query-snapshot slot under the new `version`. Then one critical
+    /// section makes `fresh` the shard's recovery state with an empty
+    /// journal, parks the retired delta for the engine to collect and
+    /// clears the request — so once `wait_swap` reports done, the slot
+    /// already holds the new version and the engine may advance the
+    /// snapshot base. Until that section commits, recovery still
+    /// reconstructs the *old* scratch; nothing between the publication and
+    /// the section can unwind, so the swap is atomic with respect to worker
+    /// death. `before_publish` runs before anything changes (it hosts the
+    /// `worker::publish` failpoint), so even a panic there leaves the
+    /// request pending for the replacement worker to redo.
+    pub fn complete_swap(
+        &self,
+        version: u64,
+        fresh: Arc<B>,
+        retired: Arc<B>,
+        retired_mass: u64,
+        before_publish: impl FnOnce(),
+    ) {
+        before_publish();
+        self.slot.publish_swap(
+            version,
+            Arc::clone(&fresh),
+            retired_mass,
+            Arc::clone(&retired),
+        );
         let mut inner = self.lock_always();
-        inner.snapshot = Arc::clone(&fresh);
+        inner.snapshot = fresh;
         inner.snapshot_mass = 0;
         inner.journal.clear();
-        inner.retired = Some(Arc::clone(&retired));
+        inner.retired = Some(retired);
+        inner.swap_request = None;
         drop(inner);
-        self.slot
-            .publish_swap(version, fresh, retired_mass, retired);
-        self.lock_always().swap_request = None;
         self.progress.notify_all();
     }
 

@@ -153,6 +153,7 @@ fn run_worker<B: SketchBackend>(
                     Arc::new(scratch.clone()),
                     Arc::new(retired),
                     scratch_mass,
+                    || faults.hit_at("worker::publish", Some(shard)),
                 );
                 scratch_mass = 0;
                 since_checkpoint = 0;

@@ -13,11 +13,11 @@
 //! * a quadratic DP (`O(n²·b)` in the worst case). Each cell is `O(1)`
 //!   amortized: the mean cost's split point is walked from the previous
 //!   cell instead of searched for. A row scan stops once the previous row's
-//!   prefix cost alone reaches the best candidate. Cells whose previous-row
-//!   prefix costs are all zero are resolved by a direct search for the
-//!   first zero-cost last cluster. On integer counts with fewer distinct
-//!   values than clusters most rows are such rows, so the work tracks the
-//!   distinct count rather than `n`. A test keeps it bit-identical to the
+//!   prefix cost alone reaches the best candidate. Where those prefix costs
+//!   are all zero, the scan stops at the first zero-cost last cluster, and
+//!   it starts at the split the row above found for the same end. On
+//!   integer counts with fewer distinct values than clusters most rows are
+//!   such rows, so the work tracks the distinct count rather than `n`. A test keeps it bit-identical to the
 //!   plain scan with a binary-searched split.
 //! * a divide-and-conquer DP (`O(n·b·log n)`) exploiting the monotonicity of
 //!   the optimal split points (the cost matrix is concave-Monge), used for
@@ -60,8 +60,8 @@ pub enum DpStrategy {
     #[default]
     DivideAndConquer,
     /// Quadratic DP, `O(n²·b)` in the worst case, with the walked mean split
-    /// and the zero-prefix rule of the module docs; the exact path for the
-    /// mean-deviation cost.
+    /// and the zero-prefix scan start of the module docs; the exact path for
+    /// the mean-deviation cost.
     Quadratic,
 }
 
@@ -77,7 +77,7 @@ pub struct KMedianResult {
     /// groups)` — always `min(k, n)`).
     pub clusters_used: usize,
     /// DP cells evaluated (candidate `(split, prefix)` pairs scored). The
-    /// row-scan break and the zero-prefix rule of the quadratic strategy and
+    /// row-scan break and zero-prefix scan start of the quadratic strategy and
     /// the shrinking argmin windows of divide-and-conquer all show up
     /// directly in this counter.
     pub cells_evaluated: u64,
@@ -259,9 +259,8 @@ fn kmedian_dp_inner(
     // Work stack for the divide-and-conquer strategy, allocated once and
     // reused across every cluster row: (lo, hi, opt_lo, opt_hi).
     let mut stack: Vec<(usize, usize, usize, usize)> = Vec::new();
-    // The previous quadratic row resolved every end `i <= prev_zero_end`
-    // (from its own `j` on) as a zero-prefix cell; `None` before the first
-    // row.
+    // Every end `i <= prev_zero_end` of the previous quadratic row was a
+    // zero-prefix cell; `None` before the first row.
     let mut prev_zero_end: Option<usize> = None;
 
     let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
@@ -289,38 +288,28 @@ fn kmedian_dp_inner(
                         split_row[i] = i;
                         continue;
                     }
-                    if i <= zero_end {
-                        // Every dp_prev[m−1] the scan below could read is
-                        // zero, so its break fires right after the first `m`
-                        // whose candidate is `<= 0.0` — and that candidate is
-                        // the one it keeps. Find that `m` directly; the
-                        // search ends by `m = i`, where the range cost is
-                        // 0.0. The previous row ran the same search from
-                        // `j − 1`, so a split of its at or above `j` is
-                        // where this one ends too.
-                        let mut m = match prev_zero_end {
-                            Some(end) if i <= end && prev_split_row[i] >= j => prev_split_row[i],
-                            _ => j,
-                        };
-                        loop {
-                            cells += 1;
-                            let c = dp_prev[m - 1] + rc.range_cost(m, i, &mut mean_split);
-                            if c <= 0.0 {
-                                dp_cur[i] = c;
-                                split_row[i] = m;
-                                break;
-                            }
-                            m += 1;
-                        }
-                        continue;
-                    }
                     let mut best = f64::INFINITY;
                     let mut best_m = j;
                     // dp_prev is non-decreasing in the prefix length (adding
                     // the largest element of a sorted prefix never lowers the
                     // optimal cost), so once dp_prev[m−1] alone reaches the
                     // best candidate no later split can win.
-                    for m in j..=i {
+                    //
+                    // When every dp_prev[m−1] this scan can read is zero
+                    // (`i <= zero_end`), the break fires right after the
+                    // first `m` whose candidate is `<= 0.0`, and that is the
+                    // candidate kept. The row above ran the same search
+                    // from `j − 1`; if it ended at a split `>= j`, every
+                    // split before that one has a positive candidate here
+                    // too, so the scan starts there and stops after one
+                    // cell.
+                    let start = match prev_zero_end {
+                        Some(end) if i <= zero_end && i <= end && prev_split_row[i] >= j => {
+                            prev_split_row[i]
+                        }
+                        _ => j,
+                    };
+                    for m in start..=i {
                         if dp_prev[m - 1] >= best {
                             break;
                         }
@@ -432,8 +421,8 @@ fn assemble(order: &[usize], split: &[usize], k: usize, cost: f64, cells: u64) -
 /// sorted frequencies, with the exact [`DpStrategy::Quadratic`] DP (the
 /// divide-and-conquer strategy is reserved for the median cost). Its cost
 /// grows with the distinct frequencies more than with `n`: once `j + 1`
-/// clusters hold every prefix at zero cost, each cell of a later row is
-/// resolved by a short direct search.
+/// clusters hold every prefix at zero cost, each cell of a later row scores
+/// about one candidate.
 pub fn solve_frequency_only(problem: &HashingProblem) -> HashingSolution {
     solve_frequency_only_cancellable(problem, &AtomicBool::new(false))
         .expect("an unraised cancel flag never stops the DP")
@@ -562,7 +551,7 @@ mod tests {
         }
     }
 
-    /// The quadratic DP as it stood before the zero-prefix rule and the
+    /// The quadratic DP as it stood before the zero-prefix scan start and the
     /// walked split, kept verbatim (less the cancel polls) as the oracle the
     /// shipped loop must match bit for bit.
     fn reference_quadratic(values: &[f64], k: usize, cost: ClusterCost) -> KMedianResult {

@@ -300,4 +300,48 @@ mod failpoints {
             assert_eq!(engine.query(&element(id)).estimate, 1.0);
         }
     }
+
+    /// A swap completes only once every shard's slot holds the new scheme.
+    /// Every worker is held for 200 ms before its swap's query-slot
+    /// publication; `swap_backend` must wait the hold out before it
+    /// advances the snapshot base, so the stamp read right after it sees
+    /// the new version with none of the old mass. A worker that cleared
+    /// the request before publishing would let the base run ahead of the
+    /// slots, and the stamp would fall back to the old deltas.
+    #[test]
+    fn swap_returns_only_after_every_slot_holds_the_new_scheme() {
+        let mut engine = IngestEngine::new(
+            CountMinSketch::new(256, 4, 5),
+            EngineConfig::with_shards(4)
+                .batch_capacity(64)
+                .mode(IngestMode::Workers),
+        );
+        for id in 0..10u64 {
+            engine.ingest(&element(id)).unwrap();
+        }
+        engine.flush().unwrap();
+        assert_eq!(engine.snapshot_stamp().mass_accounted, 10);
+
+        let faults = engine.fault_injector();
+        faults.program(
+            "worker::publish",
+            FaultPlan::delay(Duration::from_millis(200)),
+        );
+        let retired = engine.swap_backend(CountMinSketch::new(256, 4, 5)).unwrap();
+        assert_eq!(retired.total_updates(), 10);
+        let stamp = engine.snapshot_stamp();
+        assert_eq!(stamp.scheme_version, 1);
+        assert_eq!(
+            stamp.mass_accounted, 0,
+            "a post-swap stamp must carry none of the retired mass"
+        );
+        assert_eq!(
+            faults.hits("worker::publish"),
+            4,
+            "every shard's swap must pass the held publication point"
+        );
+        for id in 0..10u64 {
+            assert_eq!(engine.query(&element(id)).estimate, 0.0);
+        }
+    }
 }
